@@ -147,23 +147,13 @@ fn region_map_from_layout(layout: &ObjectLayout) -> reprocmp_core::RegionMap {
     )
 }
 
-/// Renders an already-lowered [`serde::Value`] verbatim (the vendored
-/// serialize-only serde's `Value` does not implement `Serialize`).
-struct RawValue(serde::Value);
-
-impl serde::Serialize for RawValue {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
-}
-
 /// The `--json` report object: the serialized [`CompareReport`] plus
 /// additive `"histograms"` (quantiles, sums, and log2 bucket arrays)
 /// and `"gauges"` keys from the registry.
 fn report_with_histograms(
     report: &reprocmp_core::CompareReport,
     obs: &reprocmp_obs::Observer,
-) -> RawValue {
+) -> serde::Value {
     use serde::Serialize as _;
     let baseline =
         reprocmp_obs::ProfileBaseline::from_registry(report.stages, &obs.registry.snapshot());
@@ -172,7 +162,7 @@ fn report_with_histograms(
         fields.push(("histograms".to_owned(), baseline.histograms.to_value()));
         fields.push(("gauges".to_owned(), baseline.gauges.to_value()));
     }
-    RawValue(value)
+    value
 }
 
 /// `compare`: compare two checkpoint files, or — with `--store D` —
@@ -1815,23 +1805,13 @@ fn render_status(status: &reprocmp_server::RemoteStatus) -> String {
         let _ = writeln!(
             out,
             "{}",
-            serde_json::to_string_pretty(&ValueShim(result.clone())).expect("encode result")
+            serde_json::to_string_pretty(result).expect("encode result")
         );
     }
     if let Some(error) = &status.error {
         let _ = writeln!(out, "error: {error}");
     }
     out
-}
-
-/// The vendored serde has no blanket `Serialize` for [`serde::Value`];
-/// this shim renders wire result documents as JSON.
-struct ValueShim(serde::Value);
-
-impl serde::Serialize for ValueShim {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
 }
 
 /// `serve`: run the comparison daemon. Claims the store exclusively
@@ -2019,7 +1999,7 @@ pub fn metrics(map: &ArgMap) -> Result<String, CliError> {
             .map_err(|e| fail(format!("malformed telemetry snapshot: {e}")))?;
         return Ok(reprocmp_obs::prometheus_text(&snapshot));
     }
-    let mut out = serde_json::to_string_pretty(&RawValue(value)).map_err(fail)?;
+    let mut out = serde_json::to_string_pretty(&value).map_err(fail)?;
     out.push('\n');
     Ok(out)
 }
@@ -2033,16 +2013,6 @@ fn render_frames(frames: &[String]) -> String {
         out.push_str(frame);
     }
     out
-}
-
-/// Parses one `telemetry.jsonl` line-set into snapshots, skipping
-/// torn or foreign lines (the file is crash-tolerant by design).
-fn parse_telemetry_jsonl(text: &str) -> Vec<reprocmp_obs::TelemetrySnapshot> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| reprocmp_server::json::parse(l).ok())
-        .filter_map(|v| reprocmp_obs::TelemetrySnapshot::from_value(&v).ok())
-        .collect()
 }
 
 /// `top`: the live daemon telemetry viewer. Three modes:
@@ -2065,7 +2035,7 @@ pub fn top(map: &ArgMap) -> Result<String, CliError> {
     // Offline: replay persisted telemetry history.
     if let Some(path) = map.optional("file") {
         let text = std::fs::read_to_string(path).map_err(|e| fail(format!("{path}: {e}")))?;
-        let mut view = TopView::new(parse_telemetry_jsonl(&text));
+        let mut view = TopView::new(reprocmp_obs::TelemetrySnapshot::from_jsonl(&text));
         return Ok(render_frames(&view.play(keys.unwrap_or(""))));
     }
 

@@ -36,6 +36,9 @@
 //!   flamegraph exporters over spans + journal events.
 //! * [`profile`] — committable [`ProfileBaseline`]s and
 //!   [`diff_profiles`] regression detection (`reprocmp perf-diff`).
+//! * [`json`] — the workspace's one JSON decoder (depth-limited, over
+//!   the vendored `serde::Value`), shared by the wire protocol,
+//!   telemetry replay, and `perf-diff`.
 //! * [`telemetry`] — the live telemetry plane: schema-versioned
 //!   daemon-level [`TelemetrySnapshot`]s, the bounded [`TelemetryRing`]
 //!   history, the deterministic [`Sampler`], and the Prometheus text
@@ -50,6 +53,7 @@
 pub mod cache;
 pub mod export;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod span;

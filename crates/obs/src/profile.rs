@@ -7,8 +7,7 @@
 //! that regressed past it — the engine behind `reprocmp perf-diff` and
 //! the CI gate's profile check.
 //!
-//! The vendored serde is serialize-only, so [`ProfileBaseline::parse`]
-//! is a small hand-written JSON parser. It accepts three shapes:
+//! [`ProfileBaseline::parse`] accepts three shapes:
 //!
 //! 1. a full `ProfileBaseline` object (`{"stages": …, "histograms": …}`),
 //! 2. a full `CompareReport` (anything with a `"stages"` key), and
@@ -18,9 +17,10 @@
 //! recorder `ci_baseline_breakdown.json` — keep parsing. Phases the
 //! file predates (e.g. `store_read`) default to zero.
 
+use crate::json::{self, get, get_array, get_i64, get_str, get_u64};
 use crate::metrics::{HistogramBucket, MetricValue, RegistrySnapshot};
 use crate::stage::{PhaseCost, StageBreakdown};
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::time::Duration;
 
 /// The committed quantiles of one histogram, plus (since the telemetry
@@ -106,88 +106,67 @@ impl ProfileBaseline {
     ///
     /// A description of the first syntax or shape problem found.
     pub fn parse(text: &str) -> Result<ProfileBaseline, String> {
-        let value = Parser::new(text).parse()?;
-        let root = value.as_object().ok_or("top level must be an object")?;
+        let root = json::parse(text).map_err(|e| e.to_string())?;
+        if !matches!(root, Value::Object(_)) {
+            return Err("top level must be an object".into());
+        }
         // Shape 1/2: {"stages": {...}} — a baseline or a CompareReport.
         // Shape 3: a bare StageBreakdown.
-        let stages_obj = match find(root, "stages") {
-            Some(v) => v.as_object().ok_or("\"stages\" must be an object")?,
-            None => root,
+        let stages_obj = match get(&root, "stages") {
+            Some(v @ Value::Object(_)) => v,
+            Some(_) => return Err("\"stages\" must be an object".into()),
+            None => &root,
         };
         let mut stages = StageBreakdown::default();
-        for name in [
-            "quantize",
-            "leaf_hash",
-            "level_build",
-            "bfs",
-            "stage2_stream",
-            "verify",
-            "store_read",
-            "delta_capture",
+        for (name, slot) in [
+            ("quantize", &mut stages.quantize),
+            ("leaf_hash", &mut stages.leaf_hash),
+            ("level_build", &mut stages.level_build),
+            ("bfs", &mut stages.bfs),
+            ("stage2_stream", &mut stages.stage2_stream),
+            ("verify", &mut stages.verify),
+            ("store_read", &mut stages.store_read),
+            ("delta_capture", &mut stages.delta_capture),
         ] {
-            let Some(phase) = find(stages_obj, name) else {
-                continue; // older schema: phase defaults to zero
-            };
-            let phase = phase
-                .as_object()
-                .ok_or_else(|| format!("phase {name:?} must be an object"))?;
-            let cost = parse_phase(phase).map_err(|e| format!("phase {name:?}: {e}"))?;
-            match name {
-                "quantize" => stages.quantize = cost,
-                "leaf_hash" => stages.leaf_hash = cost,
-                "level_build" => stages.level_build = cost,
-                "bfs" => stages.bfs = cost,
-                "stage2_stream" => stages.stage2_stream = cost,
-                "verify" => stages.verify = cost,
-                "store_read" => stages.store_read = cost,
-                _ => stages.delta_capture = cost,
+            // Older schemas lack later phases: they default to zero.
+            if let Some(phase) = get(stages_obj, name) {
+                *slot = parse_phase(phase).map_err(|e| format!("phase {name:?}: {e}"))?;
             }
         }
         let mut histograms = Vec::new();
-        if let Some(Json::Arr(items)) = find(root, "histograms") {
-            for item in items {
-                let obj = item
-                    .as_object()
-                    .ok_or("histogram entries must be objects")?;
-                // `sum` and `buckets` arrived with the telemetry plane;
-                // pre-telemetry files simply lack them.
-                let mut buckets = Vec::new();
-                if let Some(Json::Arr(raw)) = find(obj, "buckets") {
-                    for b in raw {
-                        let b = b.as_object().ok_or("buckets must hold objects")?;
-                        buckets.push(HistogramBucket {
-                            low: get_u64(b, "low")?,
-                            high: get_u64(b, "high")?,
-                            count: get_u64(b, "count")?,
-                        });
-                    }
-                }
-                histograms.push(HistogramQuantiles {
-                    name: find(obj, "name")
-                        .and_then(Json::as_str)
-                        .ok_or("histogram entry missing \"name\"")?
-                        .to_owned(),
-                    count: get_u64(obj, "count")?,
-                    p50: get_u64(obj, "p50")?,
-                    p95: get_u64(obj, "p95")?,
-                    p99: get_u64(obj, "p99")?,
-                    sum: get_u64_or(obj, "sum", 0)?,
-                    buckets,
-                });
-            }
+        for h in get_array(&root, "histograms").unwrap_or_default() {
+            // `sum` and `buckets` arrived with the telemetry plane;
+            // pre-telemetry files simply lack them.
+            let buckets = get_array(h, "buckets")
+                .unwrap_or_default()
+                .iter()
+                .map(|b| {
+                    Ok(HistogramBucket {
+                        low: req_u64(b, "low")?,
+                        high: req_u64(b, "high")?,
+                        count: req_u64(b, "count")?,
+                    })
+                })
+                .collect::<Result<_, String>>()?;
+            histograms.push(HistogramQuantiles {
+                name: req_str(h, "name")?,
+                count: req_u64(h, "count")?,
+                p50: req_u64(h, "p50")?,
+                p95: req_u64(h, "p95")?,
+                p99: req_u64(h, "p99")?,
+                sum: match get(h, "sum") {
+                    Some(_) => req_u64(h, "sum")?,
+                    None => 0,
+                },
+                buckets,
+            });
         }
         let mut gauges = Vec::new();
-        if let Some(Json::Arr(items)) = find(root, "gauges") {
-            for item in items {
-                let obj = item.as_object().ok_or("gauge entries must be objects")?;
-                gauges.push(MetricValue {
-                    name: find(obj, "name")
-                        .and_then(Json::as_str)
-                        .ok_or("gauge entry missing \"name\"")?
-                        .to_owned(),
-                    value: get_i64(obj, "value")?,
-                });
-            }
+        for g in get_array(&root, "gauges").unwrap_or_default() {
+            gauges.push(MetricValue {
+                name: req_str(g, "name")?,
+                value: get_i64(g, "value").ok_or("missing integer field \"value\"")?,
+            });
         }
         Ok(ProfileBaseline {
             stages,
@@ -195,6 +174,26 @@ impl ProfileBaseline {
             gauges,
         })
     }
+}
+
+fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
+    get_u64(v, key).ok_or_else(|| format!("missing integer field {key:?}"))
+}
+
+fn req_str(v: &Value, key: &str) -> Result<String, String> {
+    get_str(v, key)
+        .map(str::to_owned)
+        .ok_or_else(|| format!("missing string field {key:?}"))
+}
+
+fn parse_phase(phase: &Value) -> Result<PhaseCost, String> {
+    let time = get(phase, "time").ok_or("missing \"time\" object")?;
+    let nanos = u32::try_from(req_u64(time, "nanos")?).map_err(|_| "nanos out of range")?;
+    Ok(PhaseCost {
+        time: Duration::new(req_u64(time, "secs")?, nanos),
+        bytes: req_u64(phase, "bytes")?,
+        ops: req_u64(phase, "ops")?,
+    })
 }
 
 /// One metric that moved past the budget.
@@ -392,272 +391,6 @@ fn duration_f64(d: Duration) -> f64 {
     d.as_nanos() as f64
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON parser (the vendored serde is serialize-only).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-fn find<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    find(obj, key)
-        .and_then(Json::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn get_u64_or(obj: &[(String, Json)], key: &str, default: u64) -> Result<u64, String> {
-    match find(obj, key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("field {key:?} must be numeric")),
-    }
-}
-
-#[allow(clippy::cast_possible_truncation)]
-fn get_i64(obj: &[(String, Json)], key: &str) -> Result<i64, String> {
-    find(obj, key)
-        .and_then(Json::as_f64)
-        .map(|v| v as i64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn parse_phase(obj: &[(String, Json)]) -> Result<PhaseCost, String> {
-    let time = find(obj, "time")
-        .and_then(Json::as_object)
-        .ok_or("missing \"time\" object")?;
-    let secs = get_u64(time, "secs")?;
-    let nanos = get_u64(time, "nanos")?;
-    Ok(PhaseCost {
-        time: Duration::new(
-            secs,
-            u32::try_from(nanos).map_err(|_| "nanos out of range")?,
-        ),
-        bytes: get_u64(obj, "bytes")?,
-        ops: get_u64(obj, "ops")?,
-    })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(char::from(b));
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unexpected end of string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,20 +532,6 @@ mod tests {
         assert_eq!(parse_budget("0.1").unwrap(), 0.1);
         assert!(parse_budget("oops").is_err());
         assert!(parse_budget("-1").is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes_arrays_and_nesting() {
-        let v = Parser::new(r#"{"a\n":[1,2.5,-3,true,false,null,"xA"]}"#)
-            .parse()
-            .unwrap();
-        let Json::Obj(fields) = v else { panic!() };
-        assert_eq!(fields[0].0, "a\n");
-        let Json::Arr(items) = &fields[0].1 else {
-            panic!()
-        };
-        assert_eq!(items.len(), 7);
-        assert_eq!(items[6], Json::Str("xA".into()));
     }
 
     #[test]

@@ -23,11 +23,13 @@
 //!   cumulative `le` buckets derived from the log2 histogram arrays.
 //!
 //! Snapshots round-trip: [`TelemetrySnapshot::to_json_line`] is the
-//! JSONL persistence format and [`TelemetrySnapshot::from_value`]
-//! decodes it (additively — unknown fields are ignored, so the schema
-//! can grow without breaking old readers).
+//! JSONL persistence format, [`TelemetrySnapshot::from_jsonl`] reads a
+//! persisted history back, and [`TelemetrySnapshot::from_value`]
+//! decodes one snapshot (additively — unknown fields are ignored, so
+//! the schema can grow without breaking old readers).
 
 use crate::journal::JournalLedger;
+use crate::json::{self, get, get_array, get_i64, get_str, get_u64};
 use crate::metrics::{
     HistogramBucket, HistogramSnapshot, MetricValue, NamedHistogram, RegistrySnapshot,
 };
@@ -157,83 +159,52 @@ impl Default for TelemetrySnapshot {
 // fields default to zero so older snapshots keep parsing).
 // -------------------------------------------------------------------
 
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn num_u64(v: &Value, key: &str) -> u64 {
-    match field(v, key) {
-        Some(Value::UInt(n)) => *n,
-        Some(Value::Int(n)) => u64::try_from(*n).unwrap_or(0),
-        _ => 0,
-    }
-}
-
-fn num_i64(v: &Value, key: &str) -> i64 {
-    match field(v, key) {
-        Some(Value::Int(n)) => *n,
-        Some(Value::UInt(n)) => i64::try_from(*n).unwrap_or(i64::MAX),
-        _ => 0,
-    }
-}
-
-fn flag(v: &Value, key: &str) -> bool {
-    matches!(field(v, key), Some(Value::Bool(true)))
-}
-
-fn str_of(v: &Value, key: &str) -> Option<String> {
-    match field(v, key) {
-        Some(Value::String(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn arr_of<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-    match field(v, key) {
-        Some(Value::Array(items)) => items.as_slice(),
-        _ => &[],
-    }
-}
-
-fn decode_ledger(v: &Value) -> JournalLedger {
-    JournalLedger {
-        events_emitted: num_u64(v, "events_emitted"),
-        events_written: num_u64(v, "events_written"),
-        events_dropped: num_u64(v, "events_dropped"),
-    }
-}
-
 fn decode_metric(v: &Value) -> Result<MetricValue, String> {
     Ok(MetricValue {
-        name: str_of(v, "name").ok_or("metric entry missing `name`")?,
-        value: num_i64(v, "value"),
+        name: get_str(v, "name")
+            .ok_or("metric entry missing `name`")?
+            .to_owned(),
+        value: get_i64(v, "value").unwrap_or(0),
     })
 }
 
 fn decode_histogram(v: &Value) -> Result<NamedHistogram, String> {
-    let h = field(v, "histogram").ok_or("histogram entry missing `histogram`")?;
-    let buckets = arr_of(h, "buckets")
+    let h = get(v, "histogram").ok_or("histogram entry missing `histogram`")?;
+    let n = |v, key| get_u64(v, key).unwrap_or(0);
+    let buckets = get_array(h, "buckets")
+        .unwrap_or_default()
         .iter()
         .map(|b| HistogramBucket {
-            low: num_u64(b, "low"),
-            high: num_u64(b, "high"),
-            count: num_u64(b, "count"),
+            low: n(b, "low"),
+            high: n(b, "high"),
+            count: n(b, "count"),
         })
         .collect();
     Ok(NamedHistogram {
-        name: str_of(v, "name").ok_or("histogram entry missing `name`")?,
+        name: get_str(v, "name")
+            .ok_or("histogram entry missing `name`")?
+            .to_owned(),
         histogram: HistogramSnapshot {
-            count: num_u64(h, "count"),
-            sum: num_u64(h, "sum"),
-            p50: num_u64(h, "p50"),
-            p95: num_u64(h, "p95"),
-            p99: num_u64(h, "p99"),
+            count: n(h, "count"),
+            sum: n(h, "sum"),
+            p50: n(h, "p50"),
+            p95: n(h, "p95"),
+            p99: n(h, "p99"),
             buckets,
         },
     })
+}
+
+fn decode_all<T>(
+    v: &Value,
+    key: &str,
+    decode: fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    get_array(v, key)
+        .unwrap_or_default()
+        .iter()
+        .map(decode)
+        .collect()
 }
 
 impl TelemetrySnapshot {
@@ -245,72 +216,76 @@ impl TelemetrySnapshot {
     /// A human-readable message when a required field is absent or the
     /// schema revision is unknown (`schema == 0`).
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let schema = num_u64(v, "schema");
+        let n = |v, key| get_u64(v, key).unwrap_or(0);
+        let schema = n(v, "schema");
         if schema == 0 {
             return Err("telemetry snapshot missing `schema`".to_owned());
         }
-        let queue = field(v, "queue").ok_or("snapshot missing `queue`")?;
-        let jobs = field(v, "jobs").ok_or("snapshot missing `jobs`")?;
-        let store = field(v, "store").ok_or("snapshot missing `store`")?;
-        let registry = field(v, "registry").ok_or("snapshot missing `registry`")?;
+        let queue = get(v, "queue").ok_or("snapshot missing `queue`")?;
+        let jobs = get(v, "jobs").ok_or("snapshot missing `jobs`")?;
+        let store = get(v, "store").ok_or("snapshot missing `store`")?;
+        let registry = get(v, "registry").ok_or("snapshot missing `registry`")?;
+        let journal = get(v, "journal");
         Ok(TelemetrySnapshot {
             schema,
-            seq: num_u64(v, "seq"),
-            ts_ns: num_u64(v, "ts_ns"),
+            seq: n(v, "seq"),
+            ts_ns: n(v, "ts_ns"),
             queue: QueueTelemetry {
-                capacity: num_u64(queue, "capacity"),
-                queued: num_u64(queue, "queued"),
-                in_flight: num_u64(queue, "in_flight"),
-                admitted: num_u64(queue, "admitted"),
-                refused: num_u64(queue, "refused"),
-                shutting_down: flag(queue, "shutting_down"),
+                capacity: n(queue, "capacity"),
+                queued: n(queue, "queued"),
+                in_flight: n(queue, "in_flight"),
+                admitted: n(queue, "admitted"),
+                refused: n(queue, "refused"),
+                shutting_down: matches!(get(queue, "shutting_down"), Some(Value::Bool(true))),
             },
-            workers: arr_of(v, "workers")
+            workers: get_array(v, "workers")
+                .unwrap_or_default()
                 .iter()
                 .map(|w| WorkerTelemetry {
-                    worker: num_u64(w, "worker"),
-                    jobs_executed: num_u64(w, "jobs_executed"),
-                    busy_ns: num_u64(w, "busy_ns"),
-                    idle_ns: num_u64(w, "idle_ns"),
+                    worker: n(w, "worker"),
+                    jobs_executed: n(w, "jobs_executed"),
+                    busy_ns: n(w, "busy_ns"),
+                    idle_ns: n(w, "idle_ns"),
                 })
                 .collect(),
             jobs: JobStateCounts {
-                queued: num_u64(jobs, "queued"),
-                running: num_u64(jobs, "running"),
-                done: num_u64(jobs, "done"),
-                failed: num_u64(jobs, "failed"),
+                queued: n(jobs, "queued"),
+                running: n(jobs, "running"),
+                done: n(jobs, "done"),
+                failed: n(jobs, "failed"),
             },
             store: StoreTelemetry {
-                objects: num_u64(store, "objects"),
-                packs: num_u64(store, "packs"),
-                bytes_logical: num_u64(store, "bytes_logical"),
-                bytes_physical: num_u64(store, "bytes_physical"),
-                bytes_deduped: num_u64(store, "bytes_deduped"),
-                bytes_garbage: num_u64(store, "bytes_garbage"),
-                pack_file_bytes: num_u64(store, "pack_file_bytes"),
+                objects: n(store, "objects"),
+                packs: n(store, "packs"),
+                bytes_logical: n(store, "bytes_logical"),
+                bytes_physical: n(store, "bytes_physical"),
+                bytes_deduped: n(store, "bytes_deduped"),
+                bytes_garbage: n(store, "bytes_garbage"),
+                pack_file_bytes: n(store, "pack_file_bytes"),
             },
-            journal: field(v, "journal")
-                .map(decode_ledger)
-                .unwrap_or(JournalLedger {
-                    events_emitted: 0,
-                    events_written: 0,
-                    events_dropped: 0,
-                }),
+            journal: JournalLedger {
+                events_emitted: journal.map_or(0, |j| n(j, "events_emitted")),
+                events_written: journal.map_or(0, |j| n(j, "events_written")),
+                events_dropped: journal.map_or(0, |j| n(j, "events_dropped")),
+            },
             registry: RegistrySnapshot {
-                counters: arr_of(registry, "counters")
-                    .iter()
-                    .map(decode_metric)
-                    .collect::<Result<_, _>>()?,
-                gauges: arr_of(registry, "gauges")
-                    .iter()
-                    .map(decode_metric)
-                    .collect::<Result<_, _>>()?,
-                histograms: arr_of(registry, "histograms")
-                    .iter()
-                    .map(decode_histogram)
-                    .collect::<Result<_, _>>()?,
+                counters: decode_all(registry, "counters", decode_metric)?,
+                gauges: decode_all(registry, "gauges", decode_metric)?,
+                histograms: decode_all(registry, "histograms", decode_histogram)?,
             },
         })
+    }
+
+    /// Decodes a persisted `telemetry.jsonl` history, oldest first.
+    /// Lines that do not decode — a torn final append, a foreign or
+    /// hostile line — are skipped: the file is crash-tolerant by
+    /// design, and one bad line never costs the rest of the history.
+    #[must_use]
+    pub fn from_jsonl(text: &str) -> Vec<TelemetrySnapshot> {
+        text.lines()
+            .filter_map(|line| json::parse(line).ok())
+            .filter_map(|v| TelemetrySnapshot::from_value(&v).ok())
+            .collect()
     }
 
     /// One compact JSON line (no trailing newline) — the

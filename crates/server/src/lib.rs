@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod server;
@@ -50,6 +49,8 @@ pub use client::{
 };
 pub use proto::{JobState, ObjectRef, ProtoError, Request, Response, PROTOCOL_VERSION};
 pub use queue::{AdmitError, JobQueue, QueueStats, QueuedJob};
+/// The wire codec's JSON decoder, re-exported from its home crate.
+pub use reprocmp_obs::json;
 pub use server::{
     execute_spec, JobOutcome, JobSpec, JobStatus, Server, ServerConfig, ServerError, ServerResult,
 };

@@ -18,7 +18,7 @@
 
 use serde::{Serialize, Value};
 
-use crate::json::{self, get, get_array, get_str, get_u64};
+use reprocmp_obs::json::{self, get, get_array, get_str, get_u64};
 
 /// Protocol revision spoken by this build. Bumped only for additive
 /// changes; peers accept any `protocol >= 1` hello.

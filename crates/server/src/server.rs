@@ -561,15 +561,7 @@ impl Server {
         let mut ring = TelemetryRing::new(config.telemetry_retention);
         let mut next_seq = 1;
         if let Ok(text) = std::fs::read_to_string(&jsonl_path) {
-            for line in text.lines() {
-                // A torn final line (crash mid-append) parses as an
-                // error and is simply skipped.
-                let Ok(value) = crate::json::parse(line) else {
-                    continue;
-                };
-                let Ok(snap) = TelemetrySnapshot::from_value(&value) else {
-                    continue;
-                };
+            for snap in TelemetrySnapshot::from_jsonl(&text) {
                 next_seq = next_seq.max(snap.seq + 1);
                 ring.push(snap);
             }

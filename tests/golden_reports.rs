@@ -27,6 +27,12 @@ use reprocmp::device::Device;
 use reprocmp::io::{CostModel, SimClock, Timeline};
 use std::path::PathBuf;
 
+use common::{added_keys, assert_additive, fields, keys, read_json};
+use reprocmp::obs::json::{get, get_array};
+use serde::Value;
+
+mod common;
+
 /// One golden scenario: a seed plus the workload shape it drives.
 struct Scenario {
     name: &'static str,
@@ -168,165 +174,23 @@ fn golden_seed3_identical() {
 // Legacy-schema compatibility
 // ---------------------------------------------------------------------
 
-/// A minimal JSON value for schema comparisons. Numbers keep their raw
-/// lexemes so comparisons are exact (no float round-trips).
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// A committed golden, decoded.
+fn load(name: &str) -> Value {
+    let path = golden_path(name);
+    read_json(&std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}")))
 }
 
-/// A tiny recursive-descent JSON parser — the vendored `serde_json`
-/// stand-in only serializes, so reading the checked-in fixtures back
-/// needs its own parser. Handles exactly the subset our reports emit.
-fn parse_json(text: &str) -> Json {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-        fn expect(&mut self, c: u8) {
-            self.ws();
-            assert_eq!(
-                self.b[self.i], c,
-                "expected {} at byte {}",
-                c as char, self.i
-            );
-            self.i += 1;
-        }
-        fn string(&mut self) -> String {
-            self.expect(b'"');
-            let mut out = String::new();
-            loop {
-                let c = self.b[self.i];
-                self.i += 1;
-                match c {
-                    b'"' => return out,
-                    b'\\' => {
-                        let e = self.b[self.i];
-                        self.i += 1;
-                        out.push(match e {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            other => other as char,
-                        });
-                    }
-                    other => out.push(other as char),
-                }
-            }
-        }
-        fn value(&mut self) -> Json {
-            self.ws();
-            match self.b[self.i] {
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    self.ws();
-                    if self.b[self.i] == b'}' {
-                        self.i += 1;
-                        return Json::Obj(fields);
-                    }
-                    loop {
-                        let key = self.string();
-                        self.expect(b':');
-                        fields.push((key, self.value()));
-                        self.ws();
-                        match self.b[self.i] {
-                            b',' => self.i += 1,
-                            b'}' => {
-                                self.i += 1;
-                                return Json::Obj(fields);
-                            }
-                            other => panic!("bad object separator {}", other as char),
-                        }
-                        self.ws();
-                    }
-                }
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    self.ws();
-                    if self.b[self.i] == b']' {
-                        self.i += 1;
-                        return Json::Arr(items);
-                    }
-                    loop {
-                        items.push(self.value());
-                        self.ws();
-                        match self.b[self.i] {
-                            b',' => self.i += 1,
-                            b']' => {
-                                self.i += 1;
-                                return Json::Arr(items);
-                            }
-                            other => panic!("bad array separator {}", other as char),
-                        }
-                    }
-                }
-                b'"' => Json::Str(self.string()),
-                b't' => {
-                    self.i += 4;
-                    Json::Bool(true)
-                }
-                b'f' => {
-                    self.i += 5;
-                    Json::Bool(false)
-                }
-                b'n' => {
-                    self.i += 4;
-                    Json::Null
-                }
-                _ => {
-                    let start = self.i;
-                    while self.i < self.b.len()
-                        && matches!(
-                            self.b[self.i],
-                            b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                        )
-                    {
-                        self.i += 1;
-                    }
-                    Json::Num(String::from_utf8(self.b[start..self.i].to_vec()).unwrap())
-                }
-            }
-        }
-    }
-    let mut p = P {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.i, text.len(), "trailing garbage after JSON value");
-    v
+/// The phase names of a report's `stages` object.
+fn stages_of(report: &Value) -> Vec<&str> {
+    keys(get(report, "stages").expect("report has a stages object"))
 }
 
-/// Recursive *additive* schema comparison: every field the legacy
-/// value has must exist in the current value with an additively-equal
-/// value (objects may gain fields at any depth — e.g. `stages` gained
-/// `store_read` with the flight recorder — but may never lose or
-/// change one).
-fn assert_additive(legacy: &Json, current: &Json, path: &str) {
-    match (legacy, current) {
-        (Json::Obj(old), Json::Obj(new)) => {
-            for (key, old_value) in old {
-                let (_, new_value) = new
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .unwrap_or_else(|| panic!("new schema dropped `{path}.{key}`"));
-                assert_additive(old_value, new_value, &format!("{path}.{key}"));
-            }
+/// Asserts every field of the named top-level blocks is integer zero.
+fn assert_zero_blocks(report: &Value, blocks: &[&str]) {
+    for block in blocks {
+        for (name, value) in fields(get(report, block).expect("block present")) {
+            assert_eq!(value, &Value::UInt(0), "{block}.{name} nonzero");
         }
-        _ => assert_eq!(current, legacy, "value of `{path}` changed"),
     }
 }
 
@@ -336,12 +200,8 @@ fn assert_additive(legacy: &Json, current: &Json, path: &str) {
 /// the identical value, and the only new field is the cache ledger.
 #[test]
 fn pre_cache_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_cache")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = load("legacy_pre_cache");
+    let legacy_keys = keys(&legacy);
     for key in [
         "stats",
         "differences",
@@ -359,38 +219,15 @@ fn pre_cache_reports_remain_readable_and_schema_is_additive() {
 
     // The regenerated golden for the same scenario: identical on every
     // field the old schema had, plus exactly the `cache` object.
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
+    let current = load("seed2_moderate");
+    assert_additive(&legacy, &current, "");
     assert_eq!(
-        added,
+        added_keys(&legacy, &current),
         vec!["cache", "store", "capture", "chain"],
         "additions beyond the cache/store/capture/chain ledgers"
     );
     // A plain pairwise in-memory report carries all-zero ledgers.
-    for block in ["cache", "store", "capture", "chain"] {
-        let (_, value) = current.iter().find(|(k, _)| k == block).unwrap();
-        let Json::Obj(fields) = value else {
-            panic!("{block} is not an object")
-        };
-        for (name, value) in fields {
-            assert_eq!(value, &Json::Num("0".into()), "{block}.{name} nonzero");
-        }
-    }
+    assert_zero_blocks(&current, &["cache", "store", "capture", "chain"]);
 }
 
 /// Reports written before the persistent capture store existed (no
@@ -399,12 +236,8 @@ fn pre_cache_reports_remain_readable_and_schema_is_additive() {
 /// accounting block.
 #[test]
 fn pre_store_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_store")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = load("legacy_pre_store");
+    let legacy_keys = keys(&legacy);
     assert!(
         legacy_keys.contains(&"cache"),
         "the pre-store fixture postdates the cache ledger"
@@ -414,25 +247,10 @@ fn pre_store_reports_remain_readable_and_schema_is_additive() {
         "the pre-store fixture must predate the store ledger"
     );
 
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
+    let current = load("seed2_moderate");
+    assert_additive(&legacy, &current, "");
     assert_eq!(
-        added,
+        added_keys(&legacy, &current),
         vec!["store", "capture", "chain"],
         "additions beyond the store/capture/chain ledgers"
     );
@@ -444,67 +262,34 @@ fn pre_store_reports_remain_readable_and_schema_is_additive() {
 /// must not have perturbed a single simulated value anywhere else.
 #[test]
 fn pre_flightrec_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_flightrec")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = load("legacy_pre_flightrec");
     assert!(
-        legacy_keys.contains(&"store"),
+        keys(&legacy).contains(&"store"),
         "the pre-flight-recorder fixture postdates the store ledger"
     );
-    let stages_of = |obj: &[(String, Json)]| -> Vec<String> {
-        let Some((_, Json::Obj(stages))) = obj.iter().find(|(k, _)| k == "stages") else {
-            panic!("report has no stages object")
-        };
-        stages.iter().map(|(k, _)| k.clone()).collect()
-    };
     assert!(
-        !stages_of(&legacy).contains(&"store_read".to_owned()),
+        !stages_of(&legacy).contains(&"store_read"),
         "the fixture must predate the store_read phase"
     );
 
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
+    let current = load("seed2_moderate");
+    assert_additive(&legacy, &current, "");
     // The only top-level additions since are the differential-capture
     // ledgers; the stage additions are the overlap/informational
     // phases, all-zero for an in-memory comparison.
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
     assert_eq!(
-        added,
+        added_keys(&legacy, &current),
         vec!["capture", "chain"],
         "unexpected top-level additions"
     );
-    let new_stages: Vec<String> = stages_of(&current)
-        .into_iter()
-        .filter(|k| !stages_of(&legacy).contains(k))
-        .collect();
+    let stages = get(&current, "stages").unwrap();
     assert_eq!(
-        new_stages,
+        added_keys(get(&legacy, "stages").unwrap(), stages),
         vec!["store_read", "delta_capture"],
         "stage additions"
     );
-    let Some((_, Json::Obj(stages))) = current.iter().find(|(k, _)| k == "stages") else {
-        unreachable!()
-    };
     for phase in ["store_read", "delta_capture"] {
-        let (_, cost) = stages.iter().find(|(k, _)| k == phase).unwrap();
-        let flat = format!("{cost:?}");
+        let flat = format!("{:?}", get(stages, phase).unwrap());
         assert!(
             !flat.contains(|c: char| c.is_ascii_digit() && c != '0'),
             "in-memory comparison charged the {phase} phase: {flat}"
@@ -519,12 +304,8 @@ fn pre_flightrec_reports_remain_readable_and_schema_is_additive() {
 /// simulated value anywhere else.
 #[test]
 fn pre_delta_reports_remain_readable_and_schema_is_additive() {
-    let legacy_text =
-        std::fs::read_to_string(golden_path("legacy_pre_delta")).expect("legacy fixture");
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let legacy_keys: Vec<&str> = legacy.iter().map(|(k, _)| k.as_str()).collect();
+    let legacy = load("legacy_pre_delta");
+    let legacy_keys = keys(&legacy);
     assert!(
         legacy_keys.contains(&"store"),
         "the pre-delta fixture postdates the store ledger"
@@ -533,56 +314,30 @@ fn pre_delta_reports_remain_readable_and_schema_is_additive() {
         !legacy_keys.contains(&"capture") && !legacy_keys.contains(&"chain"),
         "the fixture must predate the differential-capture blocks"
     );
-    let stages_of = |obj: &[(String, Json)]| -> Vec<String> {
-        let Some((_, Json::Obj(stages))) = obj.iter().find(|(k, _)| k == "stages") else {
-            panic!("report has no stages object")
-        };
-        stages.iter().map(|(k, _)| k.clone()).collect()
-    };
     assert!(
-        stages_of(&legacy).contains(&"store_read".to_owned())
-            && !stages_of(&legacy).contains(&"delta_capture".to_owned()),
+        stages_of(&legacy).contains(&"store_read")
+            && !stages_of(&legacy).contains(&"delta_capture"),
         "the fixture must postdate store_read and predate delta_capture"
     );
 
-    let current_text =
-        std::fs::read_to_string(golden_path("seed2_moderate")).expect("current golden");
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("current golden is not an object")
-    };
-    for (key, legacy_value) in &legacy {
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
-        assert_additive(legacy_value, current_value, key);
-    }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy_keys.contains(k))
-        .collect();
+    let current = load("seed2_moderate");
+    assert_additive(&legacy, &current, "");
     assert_eq!(
-        added,
+        added_keys(&legacy, &current),
         vec!["capture", "chain"],
         "additions beyond the capture/chain blocks"
     );
-    let new_stages: Vec<String> = stages_of(&current)
-        .into_iter()
-        .filter(|k| !stages_of(&legacy).contains(k))
-        .collect();
-    assert_eq!(new_stages, vec!["delta_capture"], "stage additions");
+    assert_eq!(
+        added_keys(
+            get(&legacy, "stages").unwrap(),
+            get(&current, "stages").unwrap()
+        ),
+        vec!["delta_capture"],
+        "stage additions"
+    );
     // Neither side of an in-memory comparison is a store-backed delta:
     // every added number is zero.
-    for block in ["capture", "chain"] {
-        let (_, value) = current.iter().find(|(k, _)| k == block).unwrap();
-        let Json::Obj(fields) = value else {
-            panic!("{block} is not an object")
-        };
-        for (name, value) in fields {
-            assert_eq!(value, &Json::Num("0".into()), "{block}.{name} nonzero");
-        }
-    }
+    assert_zero_blocks(&current, &["capture", "chain"]);
 }
 
 /// The golden serialization is itself reproducible: two fresh
@@ -626,53 +381,31 @@ fn pre_telemetry_profiles_remain_readable_and_schema_is_additive() {
 
     // Re-serialize under today's schema and compare structurally.
     let current_text = parsed.to_json();
-    let Json::Obj(legacy) = parse_json(&legacy_text) else {
-        panic!("legacy fixture is not an object")
-    };
-    let Json::Obj(current) = parse_json(&current_text) else {
-        panic!("re-serialized baseline is not an object")
-    };
+    let legacy = read_json(&legacy_text);
+    let current = read_json(&current_text);
     // Top level: everything kept, exactly `gauges` added.
-    for (key, legacy_value) in &legacy {
+    for (key, legacy_value) in fields(&legacy) {
         if key == "histograms" {
             continue; // compared element-wise below
         }
-        let (_, current_value) = current
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("new schema dropped `{key}`"));
+        let current_value =
+            get(&current, key).unwrap_or_else(|| panic!("new schema dropped `{key}`"));
         assert_additive(legacy_value, current_value, key);
     }
-    let added: Vec<&str> = current
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .filter(|k| !legacy.iter().any(|(lk, _)| lk == k))
-        .collect();
-    assert_eq!(added, vec!["gauges"], "unexpected top-level additions");
+    assert_eq!(
+        added_keys(&legacy, &current),
+        vec!["gauges"],
+        "unexpected top-level additions"
+    );
     // Histogram entries: everything kept, exactly sum + buckets added.
-    fn entries(obj: &[(String, Json)]) -> &[Json] {
-        match obj.iter().find(|(k, _)| k == "histograms") {
-            Some((_, Json::Arr(items))) => items,
-            _ => panic!("no histograms array"),
-        }
-    }
-    for (old_entry, new_entry) in entries(&legacy).iter().zip(entries(&current).iter()) {
-        let (Json::Obj(old), Json::Obj(new)) = (old_entry, new_entry) else {
-            panic!("histogram entries must be objects")
-        };
-        for (key, old_value) in old {
-            let (_, new_value) = new
-                .iter()
-                .find(|(k, _)| k == key)
-                .unwrap_or_else(|| panic!("histogram entry dropped `{key}`"));
-            assert_additive(old_value, new_value, &format!("histograms.{key}"));
-        }
-        let added: Vec<&str> = new
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .filter(|k| !old.iter().any(|(ok, _)| ok == k))
-            .collect();
-        assert_eq!(added, vec!["sum", "buckets"], "histogram entry additions");
+    let entries = |doc| get_array(doc, "histograms").expect("histograms array");
+    for (old, new) in entries(&legacy).iter().zip(entries(&current)) {
+        assert_additive(old, new, "histograms");
+        assert_eq!(
+            added_keys(old, new),
+            vec!["sum", "buckets"],
+            "histogram entry additions"
+        );
     }
     // And the regression gate sees no drift between the eras.
     let reparsed = reprocmp::obs::ProfileBaseline::parse(&current_text).expect("round trip");

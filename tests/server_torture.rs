@@ -32,7 +32,7 @@ use reprocmp::server::{execute_spec, JobSpec, JobState, ObjectRef, Server, Serve
 use reprocmp_core::{CompareEngine, EngineConfig};
 use reprocmp_io::{CrashMode, CrashPlan};
 use reprocmp_store::{ChunkStore, CrashFs, StoreFs};
-use serde::{Serialize, Value};
+use serde::Value;
 
 const CHUNK: usize = 64;
 const VALUES_PER_OBJECT: usize = 64;
@@ -45,19 +45,8 @@ fn fresh_root(tag: &str) -> PathBuf {
     root
 }
 
-/// The vendored serde has no blanket `Serialize` for `Value`; this
-/// shim lets `serde_json` render result documents for byte-identity
-/// checks (same idiom as the concurrency oracle).
-struct Shim(Value);
-
-impl Serialize for Shim {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 fn encode_value(v: &Value) -> String {
-    serde_json::to_string(&Shim(v.clone())).expect("encode result document")
+    serde_json::to_string(v).expect("encode result document")
 }
 
 /// Each object's payload sits in its own value band (`salt * 100`),

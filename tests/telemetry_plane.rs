@@ -272,7 +272,7 @@ fn subscribe_streams_match_ring_and_persisted_jsonl() {
             .lines()
             .filter(|l| !l.trim().is_empty())
             .map(|l| {
-                let v = reprocmp::server::json::parse(l).expect("jsonl line parses");
+                let v = reprocmp::obs::json::parse(l).expect("jsonl line parses");
                 TelemetrySnapshot::from_value(&v).expect("jsonl snapshot decodes")
             })
             .collect();
@@ -329,11 +329,11 @@ fn job_results_are_byte_identical_with_and_without_telemetry() {
                 .ingest("sci", version, CHUNK as u64, &data)
                 .expect("submit");
             let status = s.wait(job).expect("wait");
-            results.push(serde_json::to_string(&Raw(status.result.expect("result"))).unwrap());
+            results.push(serde_json::to_string(&status.result.expect("result")).unwrap());
         }
         let job = s.compare(obj("sci", 1), obj("sci", 2)).expect("submit");
         let status = s.wait(job).expect("wait");
-        results.push(serde_json::to_string(&Raw(status.result.expect("result"))).unwrap());
+        results.push(serde_json::to_string(&status.result.expect("result")).unwrap());
         server.shutdown();
         results
     };
@@ -343,15 +343,6 @@ fn job_results_are_byte_identical_with_and_without_telemetry() {
         silent, sampled,
         "telemetry sampling perturbed a job result document"
     );
-}
-
-/// The vendored serde has no blanket `Serialize` for `Value`.
-struct Raw(serde::Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
 }
 
 // ---------------------------------------------------------------------
