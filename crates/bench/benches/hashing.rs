@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use reprocmp_hash::{murmur3::murmur3_x64_128, ChunkHasher, Quantizer};
+use std::time::Duration;
 
 fn bench_murmur(c: &mut Criterion) {
     let mut group = c.benchmark_group("murmur3_x64_128");
@@ -44,16 +45,39 @@ fn bench_chunk_hash(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(chunk_bytes),
             &values,
-            |b, values| {
-                let mut scratch = Vec::new();
-                b.iter(|| {
-                    hasher.hash_chunk_with_scratch(std::hint::black_box(values), &mut scratch)
-                });
-            },
+            |b, values| b.iter(|| hasher.hash_chunk(std::hint::black_box(values))),
         );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_murmur, bench_quantize, bench_chunk_hash);
+/// Leaf digests of 64 MiB of varying floats in 4 KiB chunks on one
+/// thread — the capture kernel as the tree builders run it. Unlike
+/// `chunk_digest`, consecutive chunks differ and there are many of them,
+/// so the kernel's lane interleaving shows.
+fn bench_leaf_digests(c: &mut Criterion) {
+    let mut group = c.benchmark_group("leaf_digests");
+    group.measurement_time(Duration::from_secs(2));
+    let hasher = ChunkHasher::new(Quantizer::new(1e-5).unwrap());
+    let values: Vec<f32> = (0..16 << 20)
+        .map(|i| (i as f32 * 1e-3).sin() * 100.0)
+        .collect();
+    group.throughput(Throughput::Bytes((values.len() * 4) as u64));
+    group.bench_with_input(
+        BenchmarkId::from_parameter("64MiB/4KiB"),
+        &values,
+        |b, v| {
+            b.iter(|| hasher.hash_leaves(std::hint::black_box(v), 4096 / 4));
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_murmur,
+    bench_quantize,
+    bench_chunk_hash,
+    bench_leaf_digests
+);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use reprocmp_core::{CheckpointSource, CompareEngine, EngineConfig};
+use reprocmp_core::{CheckpointSource, CompareEngine, EngineConfig, RegionMap};
 use reprocmp_hacc::{HaccConfig, OrderPolicy, Simulation, SlabDecomposition};
 use reprocmp_store::{ChunkStore, DeltaPolicy, ObjectLayout, StoreError, HEADER_SEGMENT};
 use reprocmp_veloc::{decode_checkpoint, Client, VelocConfig};
@@ -18,11 +18,20 @@ fn fail(e: impl std::fmt::Display) -> CliError {
 /// Reads a checkpoint file from disk and locates its `f32` payload:
 /// VELOC-format files by header, anything else as raw f32.
 fn locate_payload(path: &Path) -> Result<(Vec<u8>, u64, u64), CliError> {
+    let (bytes, off, len, _) = read_checkpoint(path)?;
+    Ok((bytes, off, len))
+}
+
+/// [`locate_payload`], also returning the region map of a VELOC-format
+/// file (`None` for raw f32), from the same read and decode.
+fn read_checkpoint(path: &Path) -> Result<(Vec<u8>, u64, u64, Option<RegionMap>), CliError> {
     let bytes = std::fs::read(path).map_err(fail)?;
     if bytes.len() >= 8 && &bytes[..8] == reprocmp_veloc::format::MAGIC {
         let file = decode_checkpoint(&bytes).map_err(fail)?;
         let (off, len) = (file.payload_offset, file.payload_len);
-        Ok((bytes, off, len))
+        let regions =
+            RegionMap::from_lengths(file.regions.iter().map(|r| (r.name.as_str(), r.count)));
+        Ok((bytes, off, len, Some(regions)))
     } else {
         if bytes.len() % 4 != 0 {
             return Err(CliError::Failed(format!(
@@ -31,7 +40,7 @@ fn locate_payload(path: &Path) -> Result<(Vec<u8>, u64, u64), CliError> {
             )));
         }
         let len = bytes.len() as u64;
-        Ok((bytes, 0, len))
+        Ok((bytes, 0, len, None))
     }
 }
 
@@ -134,11 +143,11 @@ fn resolve_run_spec(store: &ChunkStore, spec: &str) -> Result<(String, u64), Cli
 
 /// Region attribution from a store manifest: every non-header segment
 /// is a named f32 region of `len / 4` values.
-fn region_map_from_layout(layout: &ObjectLayout) -> reprocmp_core::RegionMap {
+fn region_map_from_layout(layout: &ObjectLayout) -> RegionMap {
     // Byte-accurate construction under the store's payload rule
     // (headers skipped only while leading): interior header segments
     // and unaligned lengths must not shift later spans.
-    reprocmp_core::RegionMap::from_segment_bytes(
+    RegionMap::from_segment_bytes(
         layout
             .segments
             .iter()
@@ -196,37 +205,28 @@ pub fn compare(map: &ArgMap) -> Result<String, CliError> {
         None => {
             // For canonical checkpoints, differences can be attributed
             // to named regions (the paper's "which variables were
-            // affected").
-            let region_map = std::fs::read(Path::new(&run1))
-                .ok()
-                .and_then(|bytes| decode_checkpoint(&bytes).ok())
-                .map(|file| {
-                    reprocmp_core::RegionMap::from_lengths(
-                        file.regions.iter().map(|r| (r.name.as_str(), r.count)),
-                    )
-                });
-
-            let load =
-                |path: &str, tree_flag: Option<&str>| -> Result<CheckpointSource, CliError> {
-                    let path = Path::new(path);
-                    let (bytes, off, len) = locate_payload(path)?;
-                    match tree_flag {
-                        Some(tree_path) => {
-                            let src =
-                                CheckpointSource::from_files(path, off, len, Path::new(tree_path))
-                                    .map_err(fail)?;
-                            Ok(src)
-                        }
-                        None => {
-                            // Hash on the fly, then serve both from memory.
-                            let values = payload_values(&bytes, off, len);
-                            CheckpointSource::in_memory(&values, &engine).map_err(fail)
-                        }
+            // affected"): run1's region map comes with its read.
+            let load = |path: &str,
+                        tree_flag: Option<&str>|
+             -> Result<(CheckpointSource, Option<RegionMap>), CliError> {
+                let path = Path::new(path);
+                let (bytes, off, len, regions) = read_checkpoint(path)?;
+                let source = match tree_flag {
+                    Some(tree_path) => {
+                        CheckpointSource::from_files(path, off, len, Path::new(tree_path))
+                            .map_err(fail)?
+                    }
+                    None => {
+                        // Hash on the fly, then serve both from memory.
+                        let values = payload_values(&bytes, off, len);
+                        CheckpointSource::in_memory(&values, &engine).map_err(fail)?
                     }
                 };
+                Ok((source, regions))
+            };
 
-            let a = load(&run1, map.optional("tree1"))?;
-            let b = load(&run2, map.optional("tree2"))?;
+            let (a, region_map) = load(&run1, map.optional("tree1"))?;
+            let (b, _) = load(&run2, map.optional("tree2"))?;
             (a, b, region_map)
         }
     };

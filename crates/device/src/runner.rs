@@ -159,7 +159,11 @@ impl Device {
         self.modeled_ns.store(0, Ordering::Relaxed);
     }
 
-    fn charge(&self, w: Workload) {
+    /// Charges `w` against the timing model without launching a kernel
+    /// (a no-op on model-less devices). Fused kernels use it to keep
+    /// charging the separate workloads they replaced, so modeled times
+    /// stay put when the host work is merged.
+    pub fn charge(&self, w: Workload) {
         if let Some(model) = &self.model {
             let ns = model.kernel_time(w).as_nanos() as u64;
             self.modeled_ns.fetch_add(ns, Ordering::Relaxed);

@@ -44,6 +44,41 @@ const CODE_NAN: i64 = i64::MAX;
 const CODE_POS_INF: i64 = i64::MAX - 1;
 const CODE_NEG_INF: i64 = i64::MIN + 1;
 
+/// The grid code of a scaled finite value `s = x / ε`: `floor(s)`,
+/// saturated just inside the sentinel codes so that no finite value can
+/// collide with them (`f32::MAX / 1e-7 ≈ 3.4e45` already overflows
+/// `i64`).
+///
+/// The floor is branch-free and calls no libm: the saturating cast
+/// truncates toward zero, and one is subtracted when that rounded a
+/// negative non-integer up. The saturation is a select. Both quantizers
+/// map through this one function.
+#[inline(always)]
+fn code_of_scaled(s: f64) -> i64 {
+    if s >= SATURATE_HI {
+        CODE_POS_INF - 1
+    } else if s <= SATURATE_LO {
+        CODE_NEG_INF + 1
+    } else {
+        floor_to_i64(s)
+    }
+}
+
+/// Scaled values at or beyond these saturate (both round to ±2^63).
+const SATURATE_HI: f64 = (CODE_POS_INF - 1) as f64;
+const SATURATE_LO: f64 = (CODE_NEG_INF + 1) as f64;
+
+/// `floor(s)` as an `i64` for `s` strictly inside the saturation range:
+/// the cast truncates toward zero, and one is subtracted when that
+/// rounded a negative non-integer up. Outside the range the result is
+/// meaningless but defined (the subtraction wraps), so a tile can
+/// compute it for every value and discard it afterwards.
+#[inline(always)]
+fn floor_to_i64(s: f64) -> i64 {
+    let t = s as i64;
+    t.wrapping_sub(i64::from((t as f64) > s))
+}
+
 /// Snaps `f32` values onto an `ε`-spaced grid.
 ///
 /// Cloning is cheap; the quantizer is just the bound and its reciprocal.
@@ -98,15 +133,26 @@ impl Quantizer {
         if x.is_infinite() {
             return if x > 0.0 { CODE_POS_INF } else { CODE_NEG_INF };
         }
-        let scaled = f64::from(x) * self.inv_bound;
-        // f32::MAX / 1e-7 ≈ 3.4e45 overflows i64; saturate just inside the
-        // sentinel codes so finite values can never collide with them.
-        if scaled >= (CODE_POS_INF - 1) as f64 {
-            CODE_POS_INF - 1
-        } else if scaled <= (CODE_NEG_INF + 1) as f64 {
-            CODE_NEG_INF + 1
-        } else {
-            scaled.floor() as i64
+        code_of_scaled(f64::from(x) * self.inv_bound)
+    }
+
+    /// Quantizes `src` into `dst` (equal lengths), the inner loop of the
+    /// fused chunk kernel: every value takes the branch-free floor, and
+    /// only a tile holding a value that floor cannot code — NaN, ±∞, or
+    /// a magnitude that saturates — is redone through
+    /// [`Quantizer::quantize`].
+    #[inline(always)]
+    pub(crate) fn quantize_tile(&self, src: &[f32], dst: &mut [i64]) {
+        let mut in_range = true;
+        for (d, &x) in dst.iter_mut().zip(src) {
+            let s = f64::from(x) * self.inv_bound;
+            in_range &= (s > SATURATE_LO) & (s < SATURATE_HI);
+            *d = floor_to_i64(s);
+        }
+        if !in_range {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = self.quantize(x);
+            }
         }
     }
 
@@ -205,17 +251,7 @@ impl QuantizerF64 {
         if x.is_infinite() {
             return if x > 0.0 { CODE_POS_INF } else { CODE_NEG_INF };
         }
-        let scaled = x * self.inv_bound;
-        // f64::MAX / ε overflows i64 by hundreds of orders of
-        // magnitude; saturate just inside the sentinel codes so finite
-        // values can never collide with them.
-        if scaled >= (CODE_POS_INF - 1) as f64 {
-            CODE_POS_INF - 1
-        } else if scaled <= (CODE_NEG_INF + 1) as f64 {
-            CODE_NEG_INF + 1
-        } else {
-            scaled.floor() as i64
-        }
+        code_of_scaled(x * self.inv_bound)
     }
 
     /// Quantizes a slice into a caller-provided buffer of codes.

@@ -7,12 +7,36 @@
 //! value in the chunk while the hash primitive only ever sees small,
 //! fixed-size inputs. Across chunks everything is embarrassingly
 //! parallel.
+//!
+//! # The fused kernel
+//!
+//! The digest is defined as "quantize the chunk to little-endian `i64`
+//! codes, then run `Murmur3x64_128::with_digest_seed(prev).hash(block)`
+//! over each block". The kernel computes exactly that in one pass with no
+//! code buffer on the heap:
+//!
+//! * values are quantized a tile at a time into a stack array (see
+//!   `Quantizer::quantize_tile`);
+//! * a block of `m = block_bytes / 8` codes is ⌊m/2⌋ Murmur3F body
+//!   rounds taking two codes each, one 8-byte tail round when `m` is odd,
+//!   then finalization with `len = 8m`, all seeded by the previous
+//!   digest — `Murmur3x64_128::hash` specialized to whole codes;
+//! * four equal-length chunks run side by side, so their independent
+//!   digest chains overlap in the CPU pipeline instead of each waiting
+//!   on its own finalizer.
 
 use crate::bounded::Quantizer;
-use crate::murmur3::{Digest128, Murmur3x64_128};
+use crate::murmur3::{body_round, finalize, tail_round, Digest128, Murmur3x64_128};
 
 /// Default block size in bytes (128 bits, the paper's granularity).
 pub const DEFAULT_BLOCK_BYTES: usize = 16;
+
+/// Chunks hashed side by side by the fused kernel.
+const LANES: usize = 4;
+
+/// Codes quantized per lane per tile; even, so that a block longer than a
+/// tile is split only between body rounds.
+const TILE: usize = 64;
 
 /// Hashes chunks of `f32` data under an error bound.
 ///
@@ -48,13 +72,14 @@ impl ChunkHasher {
     ///
     /// The block-based scheme "allows integration with any hashing
     /// algorithm, as the block size is variable" — larger blocks trade
-    /// chain length for per-call throughput. `block_bytes` is clamped to
-    /// at least 8 (one quantized code).
+    /// chain length for per-call throughput. A block holds whole 8-byte
+    /// codes, so `block_bytes` is rounded up to a multiple of 8 (and to
+    /// at least 8).
     #[must_use]
     pub fn with_block_bytes(quantizer: Quantizer, block_bytes: usize) -> Self {
         ChunkHasher {
             quantizer,
-            block_bytes: block_bytes.max(8),
+            block_bytes: block_bytes.max(8).next_multiple_of(8),
         }
     }
 
@@ -73,32 +98,13 @@ impl ChunkHasher {
     /// Hashes one chunk of floats: quantize, then chain 128-bit blocks.
     #[must_use]
     pub fn hash_chunk(&self, chunk: &[f32]) -> Digest128 {
-        let mut scratch = Vec::new();
-        self.hash_chunk_with_scratch(chunk, &mut scratch)
-    }
-
-    /// Like [`ChunkHasher::hash_chunk`] but reuses a scratch buffer, the
-    /// form used by the data-parallel tree builder to avoid per-chunk
-    /// allocation.
-    #[must_use]
-    pub fn hash_chunk_with_scratch(&self, chunk: &[f32], scratch: &mut Vec<u8>) -> Digest128 {
-        self.quantizer.quantize_to_bytes(chunk, scratch);
-        self.hash_quantized_bytes(scratch)
-    }
-
-    /// Hashes pre-quantized little-endian code bytes with block chaining.
-    #[must_use]
-    pub fn hash_quantized_bytes(&self, bytes: &[u8]) -> Digest128 {
-        let mut digest = Digest128::ZERO;
-        if bytes.is_empty() {
+        if chunk.is_empty() {
             // An empty chunk gets a defined digest distinct from the zero
             // sentinel. The single marker byte cannot collide with real
             // chunks, whose quantized byte length is always a multiple of 8.
-            return Murmur3x64_128::with_digest_seed(digest).hash(&[0x45]);
+            return Murmur3x64_128::with_digest_seed(Digest128::ZERO).hash(&[0x45]);
         }
-        for block in bytes.chunks(self.block_bytes) {
-            digest = Murmur3x64_128::with_digest_seed(digest).hash(block);
-        }
+        let [digest] = self.hash_lanes([chunk]);
         digest
     }
 
@@ -109,10 +115,101 @@ impl ChunkHasher {
     #[must_use]
     pub fn hash_leaves(&self, data: &[f32], chunk_len: usize) -> Vec<Digest128> {
         assert!(chunk_len > 0, "chunk_len must be non-zero");
-        let mut scratch = Vec::new();
-        data.chunks(chunk_len)
-            .map(|c| self.hash_chunk_with_scratch(c, &mut scratch))
-            .collect()
+        let mut leaves = vec![Digest128::ZERO; data.len().div_ceil(chunk_len)];
+        self.hash_leaves_into(data, chunk_len, &mut leaves);
+        leaves
+    }
+
+    /// [`ChunkHasher::hash_leaves`] writing into `out`, one slot per
+    /// chunk — the form the tree builders run per device task.
+    ///
+    /// # Panics
+    ///
+    /// If `chunk_len` is zero or `out.len()` is not the chunk count.
+    pub fn hash_leaves_into(&self, data: &[f32], chunk_len: usize, out: &mut [Digest128]) {
+        assert!(chunk_len > 0, "chunk_len must be non-zero");
+        assert_eq!(
+            out.len(),
+            data.len().div_ceil(chunk_len),
+            "one output slot per chunk"
+        );
+        let groups = data.chunks_exact(LANES * chunk_len);
+        let (grouped, rest) = out.split_at_mut(groups.len() * LANES);
+        let rest_data = groups.remainder();
+        for (group, slots) in groups.zip(grouped.chunks_exact_mut(LANES)) {
+            let lanes: [&[f32]; LANES] =
+                std::array::from_fn(|l| &group[l * chunk_len..(l + 1) * chunk_len]);
+            slots.copy_from_slice(&self.hash_lanes(lanes));
+        }
+        // Fewer than four chunks left, the last possibly short.
+        for (chunk, slot) in rest_data.chunks(chunk_len).zip(rest) {
+            *slot = self.hash_chunk(chunk);
+        }
+    }
+
+    /// The fused kernel: digests of `L` non-empty, equal-length chunks.
+    ///
+    /// All lanes share one block structure, so the control flow below is
+    /// paid once per `L` chunks and the per-lane work is straight-line.
+    #[inline(always)]
+    fn hash_lanes<const L: usize>(&self, chunks: [&[f32]; L]) -> [Digest128; L] {
+        let n = chunks[0].len();
+        debug_assert!(n > 0 && chunks.iter().all(|c| c.len() == n));
+        let m = self.block_bytes / 8;
+        // A tile holds whole blocks when they fit; a longer block is
+        // quantized in `TILE`-code pieces that end at its last code.
+        let blocks_per_tile = (TILE / m).max(1);
+        let mut tile = [[0i64; TILE]; L];
+        let (mut tile_lo, mut tile_hi) = (0, 0);
+        // Each lane's chained state: the previous block's digest between
+        // blocks, the running Murmur3F state inside one.
+        let mut h = [[0u64; 2]; L];
+        let mut block_lo = 0;
+        while block_lo < n {
+            let block_hi = (block_lo + m).min(n);
+            let mut i = block_lo;
+            loop {
+                if i == tile_hi {
+                    tile_lo = i;
+                    tile_hi = if m <= TILE {
+                        (i + blocks_per_tile * m).min(n)
+                    } else {
+                        (i + TILE).min(block_hi)
+                    };
+                    let len = tile_hi - tile_lo;
+                    for (codes, chunk) in tile.iter_mut().zip(&chunks) {
+                        self.quantizer
+                            .quantize_tile(&chunk[tile_lo..tile_hi], &mut codes[..len]);
+                    }
+                }
+                let piece_hi = block_hi.min(tile_hi);
+                while i + 2 <= piece_hi {
+                    let j = i - tile_lo;
+                    for (h, codes) in h.iter_mut().zip(&tile) {
+                        *h = body_round(*h, codes[j] as u64, codes[j + 1] as u64);
+                    }
+                    i += 2;
+                }
+                if i < piece_hi {
+                    // One code left in the piece: the block's odd last
+                    // code, since pieces split a block at even offsets.
+                    let j = i - tile_lo;
+                    for (h, codes) in h.iter_mut().zip(&tile) {
+                        *h = tail_round(*h, codes[j] as u64);
+                    }
+                    i += 1;
+                }
+                if i == block_hi {
+                    break;
+                }
+            }
+            let len = ((block_hi - block_lo) * 8) as u64;
+            for h in &mut h {
+                *h = finalize(*h, len);
+            }
+            block_lo = block_hi;
+        }
+        h.map(Digest128)
     }
 }
 

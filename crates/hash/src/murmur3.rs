@@ -63,7 +63,7 @@ impl std::fmt::Display for Digest128 {
 const C1: u64 = 0x87c3_7b91_1142_53d5;
 const C2: u64 = 0x4cf5_ad43_2745_937f;
 
-#[inline]
+#[inline(always)]
 fn fmix64(mut k: u64) -> u64 {
     k ^= k >> 33;
     k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -114,34 +114,16 @@ impl Murmur3x64_128 {
     /// [`Murmur3x64_128::new`].
     #[must_use]
     pub fn hash(self, data: &[u8]) -> Digest128 {
-        let mut h1 = self.h1;
-        let mut h2 = self.h2;
-        let n_blocks = data.len() / 16;
-
-        for block in 0..n_blocks {
-            let off = block * 16;
-            let k1 = u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-            let k2 = u64::from_le_bytes(data[off + 8..off + 16].try_into().expect("8 bytes"));
-
-            let k1 = k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
-            h1 ^= k1;
-            h1 = h1
-                .rotate_left(27)
-                .wrapping_add(h2)
-                .wrapping_mul(5)
-                .wrapping_add(0x52dc_e729);
-
-            let k2 = k2.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
-            h2 ^= k2;
-            h2 = h2
-                .rotate_left(31)
-                .wrapping_add(h1)
-                .wrapping_mul(5)
-                .wrapping_add(0x3849_5ab5);
+        let mut h = [self.h1, self.h2];
+        let mut blocks = data.chunks_exact(16);
+        for block in &mut blocks {
+            let k1 = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
+            let k2 = u64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
+            h = body_round(h, k1, k2);
         }
 
         // Tail.
-        let tail = &data[n_blocks * 16..];
+        let tail = blocks.remainder();
         let mut k1: u64 = 0;
         let mut k2: u64 = 0;
         for (i, &b) in tail.iter().enumerate() {
@@ -151,26 +133,66 @@ impl Murmur3x64_128 {
                 k2 |= u64::from(b) << (8 * (i - 8));
             }
         }
-        if !tail.is_empty() {
-            if tail.len() > 8 {
-                k2 = k2.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
-                h2 ^= k2;
-            }
-            k1 = k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
-            h1 ^= k1;
+        if tail.len() > 8 {
+            h[1] ^= mix_k2(k2);
         }
-
-        h1 ^= data.len() as u64;
-        h2 ^= data.len() as u64;
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        h1 = fmix64(h1);
-        h2 = fmix64(h2);
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-
-        Digest128([h1, h2])
+        if !tail.is_empty() {
+            h = tail_round(h, k1);
+        }
+        Digest128(finalize(h, data.len() as u64))
     }
+}
+
+// The round primitives below are shared by [`Murmur3x64_128::hash`] and
+// the fused chunk kernel in `chunk`, so the mixing rule exists once.
+
+#[inline(always)]
+fn mix_k1(k1: u64) -> u64 {
+    k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2)
+}
+
+#[inline(always)]
+fn mix_k2(k2: u64) -> u64 {
+    k2.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1)
+}
+
+/// One 16-byte body round: words `k1`, `k2` into state `h`.
+#[inline(always)]
+pub(crate) fn body_round([mut h1, mut h2]: [u64; 2], k1: u64, k2: u64) -> [u64; 2] {
+    h1 ^= mix_k1(k1);
+    h1 = h1
+        .rotate_left(27)
+        .wrapping_add(h2)
+        .wrapping_mul(5)
+        .wrapping_add(0x52dc_e729);
+    h2 ^= mix_k2(k2);
+    h2 = h2
+        .rotate_left(31)
+        .wrapping_add(h1)
+        .wrapping_mul(5)
+        .wrapping_add(0x3849_5ab5);
+    [h1, h2]
+}
+
+/// The tail round of an input whose tail is 1–8 bytes, packed
+/// little-endian into `k1`.
+#[inline(always)]
+pub(crate) fn tail_round([h1, h2]: [u64; 2], k1: u64) -> [u64; 2] {
+    [h1 ^ mix_k1(k1), h2]
+}
+
+/// Finalization of an input of `len` bytes; returns the digest lanes.
+#[inline(always)]
+pub(crate) fn finalize([mut h1, mut h2]: [u64; 2], len: u64) -> [u64; 2] {
+    h1 ^= len;
+    h2 ^= len;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix64(h1);
+    h2 = fmix64(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    [h1, h2]
 }
 
 /// Convenience: hashes `data` with `seed` using the reference parameters.

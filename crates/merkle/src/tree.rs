@@ -98,11 +98,6 @@ impl MerkleTree {
         hasher: &ChunkHasher,
         device: &Device,
     ) -> Self {
-        assert!(!data.is_empty(), "cannot build a tree over no data");
-        assert!(chunk_bytes >= 4, "chunk must hold at least one f32");
-        let floats_per_chunk = chunk_bytes / 4;
-        let n_chunks = data.len().div_ceil(floats_per_chunk);
-
         // Leaf kernel: quantize + hash each chunk. Charged as one pass
         // over the data plus ~10 scalar ops per byte — the cost of
         // quantization and seed-chained Murmur3F rounds, which is what
@@ -110,13 +105,7 @@ impl MerkleTree {
         // GPU hashing thousands of chunks concurrently stays
         // bandwidth-bound (the paper's Figure 8 gap).
         let w = Workload::new((data.len() * 4) as u64, (data.len() * 40) as u64);
-        let leaves = device.parallel_map(n_chunks, w, |i| {
-            let lo = i * floats_per_chunk;
-            let hi = ((i + 1) * floats_per_chunk).min(data.len());
-            let mut scratch = Vec::new();
-            hasher.hash_chunk_with_scratch(&data[lo..hi], &mut scratch)
-        });
-
+        let leaves = hash_leaves(data, chunk_bytes, hasher, device, w);
         Self::from_leaves(
             leaves,
             chunk_bytes,
@@ -126,15 +115,16 @@ impl MerkleTree {
         )
     }
 
-    /// Like [`MerkleTree::build_from_f32`], but runs quantization, leaf
-    /// hashing, and level building as *separate* kernels and returns
-    /// a [`StageBreakdown`] attributing time, bytes, and operations to
-    /// each capture phase. The resulting tree is bit-identical to the
-    /// fused builder's (quantize-then-hash commutes with fusing).
+    /// Like [`MerkleTree::build_from_f32`], but returns a
+    /// [`StageBreakdown`] attributing time, bytes, and operations to
+    /// each capture phase. The tree is bit-identical to the plain
+    /// builder's.
     ///
-    /// Phase times come from the device's modeled-time accumulator when
-    /// the device has a timing model — a deterministic sum of kernel
-    /// charges — and from the wall clock otherwise.
+    /// Quantization and leaf hashing run as one fused kernel. A device
+    /// with a timing model is charged the two phases' workloads
+    /// separately and reports their modeled times (deterministic sums of
+    /// kernel charges). On a wall-clock device the fused pass is timed as
+    /// `leaf_hash`, and `quantize` keeps its bytes and ops with zero time.
     ///
     /// # Panics
     ///
@@ -146,39 +136,25 @@ impl MerkleTree {
         hasher: &ChunkHasher,
         device: &Device,
     ) -> (Self, StageBreakdown) {
-        assert!(!data.is_empty(), "cannot build a tree over no data");
-        assert!(chunk_bytes >= 4, "chunk must hold at least one f32");
-        let floats_per_chunk = chunk_bytes / 4;
-        let n_chunks = data.len().div_ceil(floats_per_chunk);
         let data_bytes = (data.len() * 4) as u64;
 
-        // Phase 1 — quantize every chunk onto the ε-grid. One pass over
-        // the floats, ~10 scalar ops per byte (cast, scale, floor).
+        // Quantize every chunk onto the ε-grid: one pass over the floats,
+        // ~10 scalar ops per byte (cast, scale, floor). Only charged here;
+        // the work runs inside the leaf kernel.
         let w_quant = Workload::new(data_bytes, data_bytes.saturating_mul(10));
-        let (codes, quantize_time) = measured(device, || {
-            device.parallel_map(n_chunks, w_quant, |i| {
-                let lo = i * floats_per_chunk;
-                let hi = ((i + 1) * floats_per_chunk).min(data.len());
-                let mut bytes = Vec::new();
-                hasher
-                    .quantizer()
-                    .quantize_to_bytes(&data[lo..hi], &mut bytes);
-                bytes
-            })
-        });
-        let code_bytes: u64 = codes.iter().map(|c| c.len() as u64).sum();
+        let before = device.modeled_time();
+        device.charge(w_quant);
+        let quantize_time = device.modeled_time().saturating_sub(before);
 
-        // Phase 2 — block-chained hashing of the quantized codes, the
-        // Murmur3F rounds that dominate capture (paper Figure 8).
+        // Block-chained hashing of the quantized codes, the Murmur3F
+        // rounds that dominate capture (paper Figure 8).
         let w_hash = Workload::new(data_bytes, data_bytes.saturating_mul(30));
-        let codes_ref = &codes;
         let (leaves, leaf_hash_time) = measured(device, || {
-            device.parallel_map(n_chunks, w_hash, |i| {
-                hasher.hash_quantized_bytes(&codes_ref[i])
-            })
+            hash_leaves(data, chunk_bytes, hasher, device, w_hash)
         });
+        let n_chunks = leaves.len() as u64;
 
-        // Phase 3 — interior levels, bottom-up.
+        // Interior levels, bottom-up.
         let (tree, level_build_time) = measured(device, || {
             Self::from_leaves(
                 leaves,
@@ -192,7 +168,8 @@ impl MerkleTree {
         let interior_nodes = (tree.node_count() - tree.leaf_count().next_power_of_two()) as u64;
         let profile = StageBreakdown {
             quantize: PhaseCost::new(quantize_time, data_bytes, data.len() as u64),
-            leaf_hash: PhaseCost::new(leaf_hash_time, code_bytes, n_chunks as u64),
+            // The 8-byte codes the hash consumes.
+            leaf_hash: PhaseCost::new(leaf_hash_time, data_bytes * 2, n_chunks),
             level_build: PhaseCost::new(
                 level_build_time,
                 tree.metadata_bytes() as u64,
@@ -375,11 +352,10 @@ impl MerkleTree {
         let values_per_chunk = self.chunk_bytes / 4;
         let first = dirty.start / values_per_chunk;
         let last = (dirty.end - 1) / values_per_chunk;
-        let mut scratch = Vec::new();
-        for chunk in first..=last {
-            let lo = chunk * values_per_chunk;
-            let hi = (lo + values_per_chunk).min(values.len());
-            let digest = hasher.hash_chunk_with_scratch(&values[lo..hi], &mut scratch);
+        let lo = first * values_per_chunk;
+        let hi = ((last + 1) * values_per_chunk).min(values.len());
+        let digests = hasher.hash_leaves(&values[lo..hi], values_per_chunk);
+        for (chunk, digest) in (first..).zip(digests) {
             self.update_leaf(chunk, digest);
         }
     }
@@ -393,6 +369,30 @@ impl MerkleTree {
             && self.data_len == other.data_len
             && self.error_bound == other.error_bound
     }
+}
+
+/// The leaf kernel shared by both builders: every chunk of
+/// `chunk_bytes / 4` values hashed through the fused kernel, written in
+/// place four leaves per device task, charging `workload` once.
+fn hash_leaves(
+    data: &[f32],
+    chunk_bytes: usize,
+    hasher: &ChunkHasher,
+    device: &Device,
+    workload: Workload,
+) -> Vec<Digest128> {
+    assert!(!data.is_empty(), "cannot build a tree over no data");
+    assert!(chunk_bytes >= 4, "chunk must hold at least one f32");
+    const LEAVES_PER_TASK: usize = 4;
+    let floats_per_chunk = chunk_bytes / 4;
+    let floats_per_task = LEAVES_PER_TASK * floats_per_chunk;
+    let mut leaves = vec![Digest128::ZERO; data.len().div_ceil(floats_per_chunk)];
+    device.parallel_chunks_mut(&mut leaves, LEAVES_PER_TASK, workload, |task, out| {
+        let lo = task * floats_per_task;
+        let hi = (lo + floats_per_task).min(data.len());
+        hasher.hash_leaves_into(&data[lo..hi], floats_per_chunk, out);
+    });
+    leaves
 }
 
 /// Times `f` on the device's modeled clock when it has a timing model
